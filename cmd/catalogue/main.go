@@ -8,12 +8,10 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"log"
 	"log/slog"
 	"net/http"
-	"os"
 	"time"
 
 	"mathcloud/internal/catalogue"
@@ -25,7 +23,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8081", "listen address")
 	ping := flag.Duration("ping", time.Minute, "availability ping interval (0 disables)")
-	store := flag.String("store", "", "snapshot file: loaded at startup, saved periodically")
 	durableDir := flag.String("data-dir", "", "write-ahead journal directory: every registration is durable as it happens (checkpointed periodically)")
 	walSync := flag.String("wal-sync", "batch", "journal durability mode: off, batch or always (with -data-dir)")
 	flag.Parse()
@@ -52,26 +49,6 @@ func main() {
 			defer ticker.Stop()
 			for range ticker.C {
 				if err := cat.Checkpoint(); err != nil {
-					log.Printf("catalogue: %v", err)
-				}
-			}
-		}()
-	}
-	if *store != "" {
-		if err := cat.Load(*store); err != nil {
-			if os.IsNotExist(errors.Unwrap(err)) {
-				log.Printf("catalogue: no snapshot at %s yet", *store)
-			} else {
-				log.Fatalf("catalogue: %v", err)
-			}
-		} else {
-			log.Printf("catalogue: restored %d service(s) from %s", cat.Size(), *store)
-		}
-		go func() {
-			ticker := time.NewTicker(30 * time.Second)
-			defer ticker.Stop()
-			for range ticker.C {
-				if err := cat.Save(*store); err != nil {
 					log.Printf("catalogue: %v", err)
 				}
 			}

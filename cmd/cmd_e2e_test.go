@@ -53,11 +53,12 @@ func freePort(t *testing.T) int {
 	return ln.Addr().(*net.TCPAddr).Port
 }
 
-// startServer launches a binary and waits for its HTTP endpoint.
-func startServer(t *testing.T, bin string, port int, extra ...string) string {
+// startServer launches a binary and waits for its HTTP endpoint.  The
+// returned kill stops it early (SIGKILL); cleanup stops it regardless.
+func startServer(t *testing.T, bin string, port int, extra ...string) (base string, kill func()) {
 	t.Helper()
 	addr := fmt.Sprintf("127.0.0.1:%d", port)
-	base := "http://" + addr
+	base = "http://" + addr
 	args := append([]string{"-addr", addr}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = os.Stderr
@@ -65,16 +66,17 @@ func startServer(t *testing.T, bin string, port int, extra ...string) string {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
+	kill = func() {
 		_ = cmd.Process.Kill()
 		_, _ = cmd.Process.Wait()
-	})
+	}
+	t.Cleanup(kill)
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		resp, err := http.Get(base + "/")
 		if err == nil {
 			resp.Body.Close()
-			return base
+			return base, kill
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("server %s never came up on %s", bin, addr)
@@ -121,11 +123,13 @@ func TestBinariesEndToEnd(t *testing.T) {
 	if err := os.WriteFile(cfgPath, []byte(cfg), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	everestPort := freePort(t)
-	everest := startServer(t, bins["everest"], everestPort,
-		"-builtin", "-config", cfgPath,
-		"-base-url", fmt.Sprintf("http://127.0.0.1:%d", everestPort))
-	catalogueURL := startServer(t, bins["catalogue"], freePort(t), "-ping", "0")
+	// No -base-url: the container must mint URIs under its host-qualified
+	// listen address.
+	everest, _ := startServer(t, bins["everest"], freePort(t),
+		"-builtin", "-config", cfgPath)
+	catalogueDir := t.TempDir()
+	catalogueURL, killCatalogue := startServer(t, bins["catalogue"], freePort(t),
+		"-ping", "0", "-data-dir", catalogueDir)
 
 	// mcctl services lists the deployed services.
 	out := runCLI(t, bins["mcctl"], "services", everest)
@@ -153,19 +157,43 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Errorf("CAS trace = %s, want 4", out)
 	}
 
-	// Register and search in the catalogue.
+	// An async submission mints its job URI under the listen address.
+	resp, err := http.Post(everest+"/services/maxima", "application/json",
+		strings.NewReader(`{"expr": "1+1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		URI string `json:"uri"`
+	}
+	decodeErr := json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if decodeErr != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("async submit: status %d (%v)", resp.StatusCode, decodeErr)
+	}
+	if !strings.HasPrefix(job.URI, everest+"/services/maxima/jobs/") {
+		t.Errorf("job URI %q, want it under %s", job.URI, everest)
+	}
+
+	// Register and search in the catalogue; the registration survives a
+	// SIGKILL and restart on the same journal directory.
 	runCLI(t, bins["mcctl"], "register", catalogueURL,
 		everest+"/services/maxima", "cas", "matrix")
 	out = runCLI(t, bins["mcctl"], "search", catalogueURL, "algebra")
 	if !strings.Contains(out, "maxima") {
 		t.Errorf("catalogue search missed the service:\n%s", out)
 	}
+	killCatalogue()
+	catalogueURL, _ = startServer(t, bins["catalogue"], freePort(t),
+		"-ping", "0", "-data-dir", catalogueDir)
+	out = runCLI(t, bins["mcctl"], "search", catalogueURL, "algebra")
+	if !strings.Contains(out, "maxima") {
+		t.Errorf("restarted catalogue lost the service:\n%s", out)
+	}
 
 	// WMS: save a workflow that composes the CAS service, then execute
 	// the composite service through mcctl.
-	wmsPort := freePort(t)
-	wms := startServer(t, bins["wms"], wmsPort,
-		"-base-url", fmt.Sprintf("http://127.0.0.1:%d", wmsPort))
+	wms, _ := startServer(t, bins["wms"], freePort(t))
 	wfPath := filepath.Join(t.TempDir(), "wf.json")
 	wf := fmt.Sprintf(`{
 	  "name": "traceinv",

@@ -26,7 +26,6 @@ package main
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -77,7 +76,7 @@ func main() {
 	snapInterval := flag.Duration("snapshot-interval", time.Minute, "journal checkpoint period (with -data-dir; negative disables)")
 	snapBytes := flag.Int64("snapshot-bytes", 0, "journal size that triggers an immediate checkpoint, in bytes (with -data-dir; 0 disables the size trigger)")
 	jobTTL := flag.Duration("job-ttl", 0, "default destruction TTL of terminal jobs and sweeps (0 = keep until DELETE)")
-	baseURL := flag.String("base-url", "", "externally visible base URL (default: http://<addr>)")
+	baseURL := flag.String("base-url", "", "externally visible base URL (default: http://<addr>, localhost for a bare :port)")
 	builtin := flag.Bool("builtin", false, "deploy the built-in application services")
 	debugAddr := flag.String("debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6060)")
 	memoEntries := flag.Int("memo-entries", 0, "computation cache entry bound (0 = default 4096, negative disables)")
@@ -203,7 +202,7 @@ func main() {
 	if *baseURL != "" {
 		c.SetBaseURL(*baseURL)
 	} else {
-		c.SetBaseURL(fmt.Sprintf("http://localhost%s", *addr))
+		c.SetBaseURL(container.DefaultBaseURL(*addr))
 	}
 	names := make([]string, 0)
 	for _, d := range c.Services() {

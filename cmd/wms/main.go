@@ -8,7 +8,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
@@ -23,7 +22,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8082", "listen address")
 	workers := flag.Int("workers", 8, "job handler pool size")
-	baseURL := flag.String("base-url", "", "externally visible base URL (default: http://localhost<addr>)")
+	baseURL := flag.String("base-url", "", "externally visible base URL (default: http://<addr>, localhost for a bare :port)")
 	debugAddr := flag.String("debug-addr", "", "optional pprof/metrics listener (e.g. 127.0.0.1:6061)")
 	memoEntries := flag.Int("memo-entries", 0, "computation cache entry bound (0 = default 4096, negative disables)")
 	memoBytes := flag.Int64("memo-bytes", 0, "computation cache byte bound (0 = default 256 MiB, negative disables)")
@@ -58,7 +57,7 @@ func main() {
 	if *baseURL != "" {
 		c.SetBaseURL(*baseURL)
 	} else {
-		c.SetBaseURL(fmt.Sprintf("http://localhost%s", *addr))
+		c.SetBaseURL(container.DefaultBaseURL(*addr))
 	}
 	log.Printf("wms: listening on %s", *addr)
 	// The WMS handler carries its own ingress instrumentation (request

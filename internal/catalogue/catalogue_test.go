@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -58,8 +56,8 @@ func (f *fakeDescriber) Describe(_ context.Context, uri string) (core.ServiceDes
 	return d, nil
 }
 
-func seeded(t *testing.T) (*Catalogue, *fakeDescriber) {
-	t.Helper()
+// seedDescriber serves the three descriptions seeded registers.
+func seedDescriber() *fakeDescriber {
 	f := newFakeDescriber()
 	f.add("http://a/services/invert", core.ServiceDescription{
 		Name:        "invert",
@@ -76,6 +74,12 @@ func seeded(t *testing.T) (*Catalogue, *fakeDescriber) {
 		Title:       "Scattering curves",
 		Description: "Computes X-ray scattering curves for carbon nanostructures.",
 	})
+	return f
+}
+
+func seeded(t *testing.T) (*Catalogue, *fakeDescriber) {
+	t.Helper()
+	f := seedDescriber()
 	c := New(f)
 	ctx := context.Background()
 	for uri, tags := range map[string][]string{
@@ -389,65 +393,5 @@ func TestStartPingerRuns(t *testing.T) {
 			t.Fatal("pinger never marked the service unavailable")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	c, _ := seeded(t)
-	if _, err := c.AddTags("http://a/services/solver", []string{"persisted"}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "catalogue.json")
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := New(newFakeDescriber()) // describer not consulted on load
-	if err := restored.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Size() != 3 {
-		t.Fatalf("restored size = %d, want 3", restored.Size())
-	}
-	e, err := restored.Get("http://a/services/solver")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(e.Tags, "persisted") {
-		t.Errorf("tags = %v, want persisted carried over", e.Tags)
-	}
-	// The index is rebuilt: search works on the restored catalogue.
-	res := restored.Search("matrix inversion", SearchOptions{})
-	if len(res) == 0 || res[0].Name != "invert" {
-		t.Errorf("restored search = %+v", res)
-	}
-}
-
-func contains(list []string, want string) bool {
-	for _, v := range list {
-		if v == want {
-			return true
-		}
-	}
-	return false
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	c := New(newFakeDescriber())
-	if err := c.Load(path); err == nil {
-		t.Error("garbage snapshot loaded")
-	}
-	if err := c.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing snapshot loaded")
-	}
-	if err := os.WriteFile(path, []byte(`{"version": 99}`), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(path); err == nil {
-		t.Error("future snapshot version loaded")
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"mathcloud/internal/obs"
 )
 
-// Write-ahead journaling for the catalogue (DESIGN.md §5i): every
-// registration, tag update and unregistration is appended as it happens, so
-// a crash between the periodic Save snapshots loses nothing.  The journal
-// uses the shared record framing of internal/journal with the two kinds
-// reserved for the catalogue.
+// Persistence for the catalogue (DESIGN.md §5i).  The paper's catalogue
+// "stores description along with specified tags in a database"; here the
+// database is a write-ahead journal.  Every registration, tag update and
+// unregistration is appended as it happens, so a crash loses nothing, and
+// Checkpoint folds the whole catalogue into one journal snapshot.  Replay
+// rebuilds the full-text index.  The journal uses the shared record framing
+// of internal/journal with the two kinds reserved for the catalogue.
 
 // entryRecord is the KindCatRegister payload: the full entry image (register
 // and tag updates both emit it; replay upserts by URI, last wins).

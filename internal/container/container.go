@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -530,6 +531,20 @@ func (c *Container) Jobs() *JobManager { return c.jobs }
 
 // Files exposes the file store.
 func (c *Container) Files() *FileStore { return c.files }
+
+// DefaultBaseURL is the base URL a server listening on addr mints URIs under
+// when no explicit one is configured: a host-qualified addr is used as
+// given, and a bare ":port" gets localhost.
+func DefaultBaseURL(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "http://" + addr
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port)
+}
 
 // SetBaseURL records the externally visible base URL of the container,
 // used to mint absolute resource URIs.  Call it once the listener address

@@ -19,8 +19,8 @@ import (
 // TestSharedMemoIndexServesResubmissionAcrossGateways is the federation-wide
 // result-reuse end-to-end check: a deterministic job computed through one
 // gateway is answered from the holding replica's cache when an identical
-// submission arrives at a DIFFERENT gateway instance — one with no hint
-// table history — because the second gateway learned the digest→replica
+// submission arrives at a DIFFERENT gateway instance — one that never
+// claimed the key — because the second gateway learned the digest→replica
 // mapping from the replicas' memo delta feeds.
 func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	var calls atomic.Int64
@@ -45,7 +45,7 @@ func TestSharedMemoIndexServesResubmissionAcrossGateways(t *testing.T) {
 	}
 
 	// A second, independent gateway over the same replicas: fresh process
-	// state, no hints.  It must NOT reset the replicas' base URLs (that
+	// state, no claims.  It must NOT reset the replicas' base URLs (that
 	// would wipe their memo caches), so it is built without startGateway.
 	gB, err := gateway.New(gateway.Options{
 		Replicas: []gateway.Replica{

@@ -9,8 +9,8 @@
 // O(1) — parse the prefix, forward — with no shared lookup table, no session
 // state, and no coordination between gateway instances.  Requests that
 // create resources are placed by rendezvous-hashed service placement spread
-// round-robin across healthy replicas advertising the service, with a
-// memo-hint table short-circuiting deterministic resubmissions to the
+// by power-of-two-choices across healthy replicas advertising the service,
+// with the memo index short-circuiting deterministic resubmissions to the
 // replica whose computation cache already holds the answer.
 //
 // Replica health is fed by catalogue pings: the gateway registers every
@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -73,19 +74,12 @@ type Options struct {
 	// the container option.  Zero selects the default (60s); negative
 	// removes the cap.
 	MaxWaitWindow time.Duration
-	// MemoHintMax bounds the digest→replica hint table (default 65536
-	// entries).
-	MemoHintMax int
 	// LoadInterval paces the federation reuse loop: each tick polls every
 	// replica's /load report (feeding power-of-two-choices placement and
 	// admission control) and /memo delta feed (feeding the shared memo
 	// index).  Zero selects the default (2s); a negative value disables
 	// the background loop (tests drive RefreshLoad explicitly).
 	LoadInterval time.Duration
-	// PlacementPolicy selects the submission spread: "p2c" (default,
-	// power-of-two-choices over advertised queue depth) or "rr" (legacy
-	// blind round-robin, kept as an ablation/escape hatch).
-	PlacementPolicy string
 	// Resolver, when non-nil, re-resolves the base URL of a named replica
 	// that stopped answering at its last known address (a rescheduled
 	// container).  It is consulted before routing to an unhealthy replica
@@ -171,9 +165,7 @@ type Gateway struct {
 	cat        *catalogue.Catalogue
 	bus        *events.Bus
 	sse        *sseMux
-	hints      *hintTable
 	memo       *memoIndex
-	placement  string          // "p2c" or "rr"
 	replicas   []*replicaState // fixed order (Options.Replicas)
 	byName     map[string]*replicaState
 	rrCursor   atomic.Uint64
@@ -222,17 +214,6 @@ func New(opts Options) (*Gateway, error) {
 	} else if maxWait < 0 {
 		maxWait = 0
 	}
-	hintMax := opts.MemoHintMax
-	if hintMax <= 0 {
-		hintMax = 65536
-	}
-	placement := opts.PlacementPolicy
-	if placement == "" {
-		placement = placementP2C
-	}
-	if placement != placementP2C && placement != placementRR {
-		return nil, fmt.Errorf("gateway: unknown placement policy %q (want p2c or rr)", placement)
-	}
 	g := &Gateway{
 		client:    httpClient,
 		api:       &client.Client{HTTP: httpClient},
@@ -241,9 +222,7 @@ func New(opts Options) (*Gateway, error) {
 		resolver:  opts.Resolver,
 		logger:    logger,
 		bus:       events.NewBus(events.Options{}),
-		hints:     newHintTable(hintMax),
 		memo:      newMemoIndex(),
-		placement: placement,
 		byName:    make(map[string]*replicaState, len(opts.Replicas)),
 		candCache: make(map[string]*candEntry),
 		stop:      make(chan struct{}),
@@ -353,10 +332,10 @@ func (g *Gateway) loadLoop(interval time.Duration) {
 	}
 }
 
-// RefreshLoad polls every healthy replica once, concurrently: GET /load
-// feeds the placement policy's queue-depth view and admission control, and
-// GET /memo?since={cursor} advances the shared memo index.  A replica that
-// fails the poll keeps its last load report but is marked load-unknown, so
+// RefreshLoad polls every healthy replica once, concurrently: GET /memo?since=
+// {cursor} advances the memo index and GET /load feeds the placement
+// policy's queue-depth view and admission control.  A replica that fails the
+// load poll keeps its last load report but is marked load-unknown, so
 // placement treats it as idle rather than pinning traffic elsewhere.
 func (g *Gateway) RefreshLoad(ctx context.Context) {
 	g.loadOnce.Lock()
@@ -375,11 +354,22 @@ func (g *Gateway) RefreshLoad(ctx context.Context) {
 	wg.Wait()
 }
 
-// pollReplicaLoad performs one replica's load + memo-delta poll.
+// pollReplicaLoad performs one replica's memo-delta + load poll.
+//
+// It also bounds the claims in the memo index.  Every key attributed to the
+// replica was, when counted, either a result its memo confirmed or a job it
+// had accepted, so a load report fetched after the count accounts for each
+// one as a memo entry, a queued job or a running job.  Anything beyond
+// MemoEntries+QueueDepth+Running is a claim the feed will never confirm (a
+// failed job, a file-bearing input), and the replica is re-listed at once:
+// a cursor past its sequence returns a full dump, whose apply drops every
+// unconfirmed claim.
 func (g *Gateway) pollReplicaLoad(ctx context.Context, rs *replicaState) {
 	pctx, cancel := context.WithTimeout(ctx, g.fanout)
 	defer cancel()
 	base := rs.baseURL()
+	g.pollMemo(pctx, rs, base, false)
+	attributed := g.memo.count(rs.name)
 	report, err := g.api.Load(pctx, base)
 	rs.mu.Lock()
 	if err != nil {
@@ -388,15 +378,29 @@ func (g *Gateway) pollReplicaLoad(ctx context.Context, rs *replicaState) {
 		rs.load = report
 		rs.loadOK = true
 	}
-	since := rs.memoSeq
 	rs.mu.Unlock()
+	if err == nil && attributed > report.MemoEntries+report.QueueDepth+report.Running {
+		g.pollMemo(pctx, rs, base, true)
+	}
+}
+
+// pollMemo fetches the page of a replica's memo delta feed after its cursor
+// and folds it into the index.  With relist the cursor is past any sequence
+// the replica has reached, so the page is a full re-listing — treated as
+// one even from a replica that keeps no memo table (whose empty page
+// carries no Reset flag).
+func (g *Gateway) pollMemo(ctx context.Context, rs *replicaState, base string, relist bool) {
+	since := uint64(math.MaxUint64)
+	if !relist {
+		rs.mu.RLock()
+		since = rs.memoSeq
+		rs.mu.RUnlock()
+	}
+	page, err := g.api.MemoIndex(ctx, base, since)
 	if err != nil {
 		return
 	}
-	page, err := g.api.MemoIndex(pctx, base, since)
-	if err != nil {
-		return
-	}
+	page.Reset = page.Reset || relist
 	g.memo.apply(rs.name, page)
 	rs.mu.Lock()
 	rs.memoSeq = page.Seq

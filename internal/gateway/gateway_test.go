@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"mathcloud/internal/adapter"
+	"mathcloud/internal/client"
 	"mathcloud/internal/container"
 	"mathcloud/internal/core"
 	"mathcloud/internal/events"
@@ -219,16 +221,18 @@ func TestMemoHintRoutesResubmissionToSameReplica(t *testing.T) {
 	})
 	r1 := startReplica(t, "r01", numService(t, "det", "gwtest.det1", true))
 	r2 := startReplica(t, "r02", numService(t, "det", "gwtest.det2", true))
-	_, gw := startGateway(t, gateway.Options{}, r1, r2)
+	// No load poll runs between the two submissions, so only the claim the
+	// first 201 wrote can route the second.
+	_, gw := startGateway(t, gateway.Options{LoadInterval: -1}, r1, r2)
 
-	hintsBefore := metricValue(t, gw.URL, "mc_gateway_memo_hint_hits_total")
+	hitsBefore := metricValue(t, gw.URL, "mc_gateway_memo_index_hits_total")
 	resp1, job1 := postJSON(t, gw.URL+"/services/det?wait=15s", core.Values{"a": 21})
 	if resp1.StatusCode != http.StatusCreated || job1["state"] != "DONE" {
 		t.Fatalf("first submit: status %d state %v", resp1.StatusCode, job1["state"])
 	}
 	first := resp1.Header.Get(container.ReplicaHeader)
 
-	// Identical resubmission: the hint table must route it to the replica
+	// Identical resubmission: the claim must route it to the replica
 	// whose computation cache already holds the answer.
 	resp2, job2 := postJSON(t, gw.URL+"/services/det?wait=15s", core.Values{"a": 21})
 	if resp2.StatusCode != http.StatusCreated || job2["state"] != "DONE" {
@@ -240,8 +244,44 @@ func TestMemoHintRoutesResubmissionToSameReplica(t *testing.T) {
 	if n := calls1.Load() + calls2.Load(); n != 1 {
 		t.Fatalf("adapter ran %d times across replicas, want 1 (memo hit)", n)
 	}
-	if hintsAfter := metricValue(t, gw.URL, "mc_gateway_memo_hint_hits_total"); hintsAfter != hintsBefore+1 {
-		t.Fatalf("mc_gateway_memo_hint_hits_total = %v, want %v", hintsAfter, hintsBefore+1)
+	if hitsAfter := metricValue(t, gw.URL, "mc_gateway_memo_index_hits_total"); hitsAfter != hitsBefore+1 {
+		t.Fatalf("mc_gateway_memo_index_hits_total = %v, want %v", hitsAfter, hitsBefore+1)
+	}
+}
+
+// TestFailedClaimsBoundedByLoadReport checks the claim bound: a
+// deterministic service that fails on every input leaves one claim per
+// submission (the feed never confirms a failed job), and one load poll
+// trims the replica's keys back to what its load report accounts for.
+func TestFailedClaimsBoundedByLoadReport(t *testing.T) {
+	adapter.RegisterFunc("gwtest.detfail", func(ctx context.Context, in core.Values) (core.Values, error) {
+		return nil, errors.New("always fails")
+	})
+	r1 := startReplica(t, "r01", numService(t, "detfail", "gwtest.detfail", true))
+	g, gw := startGateway(t, gateway.Options{LoadInterval: -1}, r1)
+	// startGateway re-bases the replica, which resets its memo feed; sync
+	// the cursor now so the poll under test reads an incremental page.
+	g.RefreshLoad(context.Background())
+
+	const n = 24
+	for i := 0; i < n; i++ {
+		resp, job := postJSON(t, gw.URL+"/services/detfail?wait=15s", core.Values{"a": float64(i)})
+		if resp.StatusCode != http.StatusCreated || job["state"] != "ERROR" {
+			t.Fatalf("submit %d: status %d state %v", i, resp.StatusCode, job["state"])
+		}
+	}
+	if got := gateway.MemoKeys(g, "r01"); got != n {
+		t.Fatalf("claims before the poll = %d, want %d", got, n)
+	}
+
+	g.RefreshLoad(context.Background())
+	report, err := (&client.Client{}).Load(context.Background(), r1.srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := report.MemoEntries + report.QueueDepth + report.Running
+	if got := gateway.MemoKeys(g, "r01"); got > bound {
+		t.Fatalf("keys for r01 after one load poll = %d, want at most %d (load %+v)", got, bound, report)
 	}
 }
 

@@ -6,12 +6,23 @@ import (
 	"mathcloud/internal/core"
 )
 
-// memoIndex is the gateway's authoritative view of which replica holds a
-// cached result for a given canonical input digest (DESIGN.md §5j).  Unlike
-// the advisory hint table — which only remembers placements this gateway
-// instance made itself — the index is fed by each replica's memo delta feed
-// (GET /memo?since=N), so it survives gateway restarts and covers results
-// produced by other gateways or by direct replica submissions.
+// memoIndex is the gateway's one digest→replica map (DESIGN.md §5j): which
+// replica holds, or is computing, the result for a canonical input digest.
+// It has two writers that share one ownership path:
+//
+//   - each replica's memo delta feed (GET /memo?since=N), which confirms
+//     the results a replica actually caches — so the index survives gateway
+//     restarts and covers results produced by other gateways or by direct
+//     replica submissions;
+//   - claims: on a 201 for a deterministic submission the gateway records
+//     the placement at once, so an identical resubmission arriving before
+//     the next feed poll joins the same flight or cached result.
+//
+// The feed never confirms a claim whose job failed, nor one for file-bearing
+// inputs (the gateway hashes file references literally, the replica by
+// content).  Claims are therefore bounded by the replica's own load report:
+// see Gateway.pollReplicaLoad, which re-lists a replica whose attributed key
+// count exceeds what its memo, queue and workers can account for.
 //
 // The index stores at most one replica per key.  Deterministic results are
 // content-addressed, so when two replicas both hold a key either copy is as
@@ -19,7 +30,8 @@ import (
 type memoIndex struct {
 	mu    sync.RWMutex
 	byKey map[string]string // canonical digest -> replica name
-	// keysByReplica mirrors byKey for O(keys of replica) Reset/drop handling.
+	// keysByReplica mirrors byKey for O(keys of replica) Reset handling and
+	// per-replica counts.
 	keysByReplica map[string]map[string]struct{}
 }
 
@@ -39,48 +51,53 @@ func (x *memoIndex) lookup(key string) (replica string, ok bool) {
 }
 
 // apply folds one page of a replica's memo delta feed into the index.  A
-// Reset page replaces everything previously known about the replica; an
-// incremental page adds Entries and removes Dropped keys.
+// Reset page replaces everything previously attributed to the replica —
+// including claims the replica never confirmed; an incremental page adds
+// Entries and removes Dropped keys.
 func (x *memoIndex) apply(replica string, page core.MemoIndexPage) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if page.Reset {
 		x.dropReplicaLocked(replica)
 	}
-	keys := x.keysByReplica[replica]
-	if keys == nil && len(page.Entries) > 0 {
-		keys = make(map[string]struct{}, len(page.Entries))
-		x.keysByReplica[replica] = keys
-	}
 	for _, e := range page.Entries {
-		if prev, ok := x.byKey[e.Key]; ok && prev != replica {
-			if prevKeys := x.keysByReplica[prev]; prevKeys != nil {
-				delete(prevKeys, e.Key)
-			}
-		}
-		x.byKey[e.Key] = replica
-		keys[e.Key] = struct{}{}
+		x.ownLocked(replica, e.Key)
 	}
+	keys := x.keysByReplica[replica]
 	for _, key := range page.Dropped {
 		// Only forget the key if this replica is still its owner of
 		// record; another replica may have claimed it since.
 		if owner, ok := x.byKey[key]; ok && owner == replica {
 			delete(x.byKey, key)
 		}
-		if keys != nil {
-			delete(keys, key)
-		}
+		delete(keys, key)
 	}
 }
 
-// dropReplica forgets every key attributed to the replica (used when a
-// replica is removed from the federation or its feed resets).
-func (x *memoIndex) dropReplica(replica string) {
+// claim attributes key to the replica a submission was just placed on.
+func (x *memoIndex) claim(replica, key string) {
 	x.mu.Lock()
-	x.dropReplicaLocked(replica)
+	x.ownLocked(replica, key)
 	x.mu.Unlock()
 }
 
+// ownLocked makes replica the owner of record of key, moving it out of the
+// previous owner's key set.  Callers must hold x.mu.
+func (x *memoIndex) ownLocked(replica, key string) {
+	if prev, ok := x.byKey[key]; ok && prev != replica {
+		delete(x.keysByReplica[prev], key)
+	}
+	x.byKey[key] = replica
+	keys := x.keysByReplica[replica]
+	if keys == nil {
+		keys = make(map[string]struct{})
+		x.keysByReplica[replica] = keys
+	}
+	keys[key] = struct{}{}
+}
+
+// dropReplicaLocked forgets every key attributed to the replica (a Reset
+// page).  Callers must hold x.mu.
 func (x *memoIndex) dropReplicaLocked(replica string) {
 	for key := range x.keysByReplica[replica] {
 		if owner, ok := x.byKey[key]; ok && owner == replica {
@@ -94,6 +111,14 @@ func (x *memoIndex) dropReplicaLocked(replica string) {
 func (x *memoIndex) size() int {
 	x.mu.RLock()
 	n := len(x.byKey)
+	x.mu.RUnlock()
+	return n
+}
+
+// count reports the number of keys attributed to one replica.
+func (x *memoIndex) count(replica string) int {
+	x.mu.RLock()
+	n := len(x.keysByReplica[replica])
 	x.mu.RUnlock()
 	return n
 }

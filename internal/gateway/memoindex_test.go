@@ -46,20 +46,21 @@ func TestMemoIndexApplyIncrementalResetAndOwnership(t *testing.T) {
 		t.Fatal("Reset page entries not installed")
 	}
 
-	x.dropReplica("r02")
-	if x.size() != 0 {
-		t.Fatalf("size after dropReplica = %d, want 0", x.size())
+	// An empty Reset page (a re-listing of a replica whose cache emptied)
+	// forgets the replica entirely.
+	x.apply("r02", core.MemoIndexPage{Seq: 10, Reset: true})
+	if x.size() != 0 || x.count("r02") != 0 {
+		t.Fatalf("size after empty Reset = %d (r02 %d), want 0", x.size(), x.count("r02"))
 	}
 }
 
 // federationTestGateway extends the placement-only test gateway with load
 // reports and deterministic service descriptions.
-func federationTestGateway(policy string, deterministic bool, loads map[string]core.LoadReport) *Gateway {
+func federationTestGateway(deterministic bool, loads map[string]core.LoadReport) *Gateway {
 	g := newTestGateway(
 		map[string][]string{"r01": {"s"}, "r02": {"s"}},
 		map[string]bool{"r01": true, "r02": true},
 	)
-	g.placement = policy
 	for name, rs := range g.byName {
 		rs.services["s"] = core.ServiceDescription{Name: "s", Version: "1", Deterministic: deterministic}
 		if report, ok := loads[name]; ok {
@@ -71,7 +72,7 @@ func federationTestGateway(policy string, deterministic bool, loads map[string]c
 }
 
 func TestP2CPlacementDrainsToShorterQueue(t *testing.T) {
-	g := federationTestGateway(placementP2C, false, map[string]core.LoadReport{
+	g := federationTestGateway(false, map[string]core.LoadReport{
 		"r01": {QueueDepth: 100, QueueCap: 128},
 		"r02": {QueueDepth: 0, QueueCap: 128},
 	})
@@ -89,7 +90,7 @@ func TestP2CPlacementDrainsToShorterQueue(t *testing.T) {
 }
 
 func TestAdmissionRefusesWhenAllSaturated(t *testing.T) {
-	g := federationTestGateway(placementP2C, false, map[string]core.LoadReport{
+	g := federationTestGateway(false, map[string]core.LoadReport{
 		"r01": {QueueDepth: 128, QueueCap: 128},
 		"r02": {QueueDepth: 128, QueueCap: 128},
 	})
@@ -119,7 +120,7 @@ func TestAdmissionRefusesWhenAllSaturated(t *testing.T) {
 }
 
 func TestSaturatedSubmitReturns503WithRetryAfter(t *testing.T) {
-	g := federationTestGateway(placementP2C, false, map[string]core.LoadReport{
+	g := federationTestGateway(false, map[string]core.LoadReport{
 		"r01": {QueueDepth: 64, QueueCap: 64},
 		"r02": {QueueDepth: 64, QueueCap: 64},
 	})
@@ -138,37 +139,46 @@ func TestSaturatedSubmitReturns503WithRetryAfter(t *testing.T) {
 	}
 }
 
-func TestRouteSubmitPrefersIndexThenHintAndCountsStaleHints(t *testing.T) {
-	g := federationTestGateway(placementP2C, true, nil)
+func TestRouteSubmitFollowsIndexClaims(t *testing.T) {
+	g := federationTestGateway(true, nil)
+	body := []byte(`{"a": 1}`)
 	key, err := core.CanonicalHash("s", "1", core.Values{"a": 1.0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Shared index wins even when a hint disagrees.
-	g.memo.apply("r02", core.MemoIndexPage{Seq: 1, Entries: []core.MemoIndexEntry{{Key: key, Service: "s", JobID: "j"}}})
-	g.hints.put(key, "r01")
-	rs, gotKey, hinted, routeErr := g.routeSubmit("s", core.Values{"a": 1.0})
-	if routeErr != nil || rs == nil || rs.name != "r02" || !hinted || gotKey != key {
-		t.Fatalf("index route = %v %q hinted=%v err=%v, want r02 hinted", rs, gotKey, hinted, routeErr)
+	// A claim routes the next identical submission, whichever replica the
+	// spread would pick next.
+	for _, owner := range []string{"r02", "r01"} {
+		g.memo.claim(owner, key)
+		rs, gotKey, routeErr := g.routeSubmit("s", body)
+		if routeErr != nil || rs == nil || rs.name != owner || gotKey != key {
+			t.Fatalf("claimed route = %v %q err=%v, want %s", rs, gotKey, routeErr, owner)
+		}
+	}
+	if g.memo.count("r02") != 0 || g.memo.count("r01") != 1 {
+		t.Fatalf("reclaim left counts r01=%d r02=%d, want 1/0", g.memo.count("r01"), g.memo.count("r02"))
 	}
 
-	// Index gone, hint valid: hint routes.
-	g.memo.dropReplica("r02")
-	rs, _, hinted, routeErr = g.routeSubmit("s", core.Values{"a": 1.0})
-	if routeErr != nil || rs.name != "r01" || !hinted {
-		t.Fatalf("hint route = %v hinted=%v err=%v, want r01 hinted", rs, hinted, routeErr)
-	}
-
-	// A hint pointing at a replica outside the candidate set falls through
-	// to placement rather than failing the submission.
-	g.hints.put(key, "r99")
-	rs, gotKey, hinted, routeErr = g.routeSubmit("s", core.Values{"a": 1.0})
-	if routeErr != nil || rs == nil || hinted {
-		t.Fatalf("stale hint route = %v hinted=%v err=%v, want placed unhinted", rs, hinted, routeErr)
+	// A claim naming a replica outside the candidate set falls through to
+	// placement rather than failing the submission, and the key survives so
+	// the new placement can be claimed.
+	g.memo.claim("r99", key)
+	rs, gotKey, routeErr := g.routeSubmit("s", body)
+	if routeErr != nil || rs == nil || rs.name == "r99" {
+		t.Fatalf("stale claim route = %v err=%v, want placed on a candidate", rs, routeErr)
 	}
 	if gotKey != key {
-		t.Fatalf("stale-hint route lost the memo key (%q), later hit cannot be recorded", gotKey)
+		t.Fatalf("stale-claim route lost the memo key (%q), the placement cannot be claimed", gotKey)
+	}
+	if owner, ok := g.memo.lookup(key); !ok || owner != "r99" {
+		t.Fatalf("routing rewrote the index (%q %v); only a 201 re-claims", owner, ok)
+	}
+
+	// A body that does not parse still routes (the replica answers 400) but
+	// yields no key to claim.
+	if rs, gotKey, routeErr := g.routeSubmit("s", []byte("{not json")); routeErr != nil || rs == nil || gotKey != "" {
+		t.Fatalf("unparsable body route = %v %q err=%v, want placed without key", rs, gotKey, routeErr)
 	}
 }
 

@@ -5,7 +5,7 @@ import "mathcloud/internal/obs"
 // Gateway metric families (DESIGN.md §5d, §5h).  Ingress requests are
 // already covered by the shared mc_http_* middleware; the series here answer
 // the federation-specific questions: where is work going, which replicas are
-// failing, and how much the memo hint table saves.
+// failing, and how much the memo index saves.
 var (
 	metGwRequests = obs.NewCounterVec("mc_gateway_requests_total",
 		"Requests proxied to a replica, by route class, replica and upstream status class.",
@@ -20,12 +20,8 @@ var (
 		"replica")
 	metGwFanoutPartial = obs.NewCounter("mc_gateway_fanout_partial_total",
 		"Scatter-gather responses assembled from a strict subset of replicas (Warning header attached).")
-	metGwHintHits = obs.NewCounter("mc_gateway_memo_hint_hits_total",
-		"Job submissions routed by the memo hint table to the replica already holding the result.")
-	metGwHintStale = obs.NewCounter("mc_gateway_memo_hint_stale_total",
-		"Memo hints that pointed at a replica no longer serving the service (fell through to placement).")
 	metGwIndexHits = obs.NewCounter("mc_gateway_memo_index_hits_total",
-		"Job submissions routed by the shared memo index to the replica whose cache holds the result.")
+		"Job submissions routed by the memo index to the replica that holds or is computing the result.")
 	metGwAdmissionRejects = obs.NewCounter("mc_gateway_admission_rejections_total",
 		"Submissions rejected at the gateway with 503 because every candidate replica was saturated.")
 	metGwSSEUpstreams = obs.NewGauge("mc_gateway_sse_upstreams",

@@ -1,9 +1,9 @@
 package gateway
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"sort"
-	"sync"
 	"time"
 
 	"mathcloud/internal/core"
@@ -20,10 +20,10 @@ import (
 // cap its throughput at a single container.  Three refinements bend the
 // spread toward cache locality and away from hot replicas (DESIGN.md §5j):
 //
-//   - deterministic services consult the shared memo index first, then the
-//     gateway-local hint table: a digest of the canonical submission
-//     (core.CanonicalHash) routes an identical resubmission to the replica
-//     whose computation cache already holds the result;
+//   - deterministic services consult the memo index: a digest of the
+//     canonical submission (core.CanonicalHash) routes an identical
+//     resubmission to the replica whose computation cache already holds the
+//     result, or that this gateway placed it on (a claim, see memoindex.go);
 //   - fresh placements use power-of-two-choices over the queue depth each
 //     replica advertises on GET /load: pick two candidates, send the job to
 //     the shorter queue.  P2c tracks load skew exponentially better than
@@ -31,12 +31,6 @@ import (
 //   - when every candidate advertises a full queue the gateway refuses
 //     admission outright (503 + Retry-After) instead of burning a proxy hop
 //     on a replica that would reject the job anyway.
-
-// Placement policy names accepted by Options.PlacementPolicy.
-const (
-	placementP2C = "p2c"
-	placementRR  = "rr"
-)
 
 // rendezvousScore ranks one (service, replica) pair.  FNV-1a over the joint
 // key is cheap, stateless and stable across processes.
@@ -132,19 +126,17 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// spreadReplica picks the next submission target among candidates.  Under
-// the default p2c policy the round-robin cursor nominates the primary
-// candidate and a splitmix64-derived second index challenges it: the
+// spreadReplica picks the next submission target among candidates by
+// power-of-two-choices: the round-robin cursor nominates the primary
+// candidate and a splitmix64-derived second index challenges it; the
 // challenger wins only with a strictly shorter advertised queue.  Under
-// uniform (or not yet polled) load every challenge ties and the spread
-// degrades to exact round-robin — no placement regression against the
-// legacy policy — while a skewed federation drains toward the replicas
-// with headroom.  Under rr (or with a single candidate) the cursor decides
-// alone.
+// uniform (or not yet polled) load every challenge ties and the spread is
+// exact round-robin, while a skewed federation drains toward the replicas
+// with headroom.  A single candidate needs no challenge.
 func (g *Gateway) spreadReplica(candidates []*replicaState) *replicaState {
 	n := g.rrCursor.Add(1)
 	i := int((n - 1) % uint64(len(candidates)))
-	if len(candidates) == 1 || g.placement == placementRR {
+	if len(candidates) == 1 {
 		return candidates[i]
 	}
 	k := int(splitmix64(n) % uint64(len(candidates)))
@@ -182,115 +174,54 @@ func (g *Gateway) placeSpread(candidates []*replicaState) (*replicaState, error)
 }
 
 // routeSubmit places one job submission.  For deterministic services it
-// computes the memo key of the submission and consults the shared memo index
-// first (authoritative: fed by every replica's delta feed), then the
-// gateway-local hint table; either pointing at a still-healthy candidate
-// wins, because that replica's memo cache can answer without recomputing.
-// Otherwise the submission falls through to load-aware placement, which may
-// refuse admission (non-nil err) when all candidates are saturated.  The
-// returned key is non-empty when the dispatch should be recorded as a hint
-// after the replica accepts it.
-func (g *Gateway) routeSubmit(service string, inputs core.Values) (rs *replicaState, key string, hinted bool, err error) {
+// decodes the body, computes the memo key of the submission and consults the
+// memo index: an entry pointing at a still-healthy candidate wins, because
+// that replica's memo cache (or its in-flight execution) can answer without
+// recomputing.  Otherwise the submission falls through to load-aware
+// placement, which may refuse admission (non-nil err) when all candidates
+// are saturated.  The returned key is non-empty when the placement should be
+// claimed in the index after the replica accepts it.
+func (g *Gateway) routeSubmit(service string, raw []byte) (rs *replicaState, key string, err error) {
 	candidates := g.serviceReplicas(service)
 	if len(candidates) == 0 {
-		return nil, "", false, nil
+		return nil, "", nil
 	}
-	desc, _ := candidates[0].describe(service)
-	if desc.Deterministic {
-		// A nil FileDigester hashes file references by literal string.  That
-		// is weaker than the container's content digest (two names for the
-		// same bytes miss), but routing only needs gateway-local
-		// determinism: a miss degrades to placement, never to a wrong
-		// answer — the replica's own memo gate re-derives the real key.
-		if k, err := core.CanonicalHash(desc.Name, desc.Version, inputs, nil); err == nil {
-			key = k
-			if name, ok := g.memo.lookup(key); ok {
-				for _, c := range candidates {
-					if c.name == name {
-						metGwIndexHits.Inc()
-						return c, key, true, nil
-					}
+	if desc, _ := candidates[0].describe(service); desc.Deterministic {
+		key = submitKey(desc, raw)
+	}
+	if key != "" {
+		if name, ok := g.memo.lookup(key); ok {
+			for _, c := range candidates {
+				if c.name == name {
+					metGwIndexHits.Inc()
+					return c, key, nil
 				}
-			}
-			if name, ok := g.hints.get(key); ok {
-				for _, c := range candidates {
-					if c.name == name {
-						metGwHintHits.Inc()
-						return c, key, true, nil
-					}
-				}
-				metGwHintStale.Inc()
 			}
 		}
 	}
 	rs, err = g.placeSpread(candidates)
 	if err != nil {
-		return nil, key, false, err
+		return nil, key, err
 	}
-	return rs, key, false, nil
+	return rs, key, nil
 }
 
-// hintTable is the bounded digest→replica map behind memo-cache sharing.
-// It uses two generations: inserts go to the young map, lookups check both,
-// and when the young map fills the old generation is dropped wholesale —
-// O(1) amortized eviction with no per-entry bookkeeping, at the cost of
-// evicting cohorts instead of strict LRU order.  Hints are advisory, so
-// losing a cohort only costs a load-aware dispatch.
-type hintTable struct {
-	max int
-
-	mu    sync.Mutex
-	young map[string]string
-	old   map[string]string
-}
-
-func newHintTable(max int) *hintTable {
-	return &hintTable{
-		max:   max,
-		young: make(map[string]string),
+// submitKey is the memo key of a deterministic submission, or "" when the
+// body does not parse as a value map: such a body still forwards — the
+// replica owns input validation and its 400 passes through unchanged.  A
+// nil FileDigester hashes file references by literal string.  That is
+// weaker than the container's content digest (two names for the same bytes
+// miss), but routing only needs gateway-local determinism: a miss degrades
+// to placement, never to a wrong answer — the replica's own memo gate
+// re-derives the real key.
+func submitKey(desc core.ServiceDescription, raw []byte) string {
+	var inputs core.Values
+	if json.Unmarshal(raw, &inputs) != nil {
+		return ""
 	}
-}
-
-func (t *hintTable) get(key string) (string, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if v, ok := t.young[key]; ok {
-		return v, true
+	key, err := core.CanonicalHash(desc.Name, desc.Version, inputs, nil)
+	if err != nil {
+		return ""
 	}
-	if v, ok := t.old[key]; ok {
-		// Promote so a hot hint survives the next generation flip.
-		t.young[key] = v
-		return v, true
-	}
-	return "", false
-}
-
-func (t *hintTable) put(key, replica string) {
-	if key == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.young) >= t.max/2 {
-		t.old = t.young
-		t.young = make(map[string]string)
-	}
-	t.young[key] = replica
-}
-
-// forget drops every hint pointing at a replica (used when one is replaced
-// rather than restarted, so stale hints do not pin traffic to a cold cache).
-func (t *hintTable) forget(replica string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, v := range t.young {
-		if v == replica {
-			delete(t.young, k)
-		}
-	}
-	for k, v := range t.old {
-		if v == replica {
-			delete(t.old, k)
-		}
-	}
+	return key
 }

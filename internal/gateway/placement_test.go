@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"fmt"
 	"testing"
 
 	"mathcloud/internal/core"
@@ -24,10 +23,8 @@ func TestRendezvousScoreIsDeterministic(t *testing.T) {
 func newTestGateway(services map[string][]string, healthy map[string]bool) *Gateway {
 	g := &Gateway{
 		byName:    make(map[string]*replicaState),
-		hints:     newHintTable(64),
 		memo:      newMemoIndex(),
 		candCache: make(map[string]*candEntry),
-		placement: placementRR,
 	}
 	for name, svcs := range services {
 		rs := &replicaState{
@@ -94,34 +91,6 @@ func TestSpreadRoundRobins(t *testing.T) {
 		if n != 3 {
 			t.Fatalf("replica %s got %d of 9 submissions, want 3", name, n)
 		}
-	}
-}
-
-func TestHintTableGenerationsAndForget(t *testing.T) {
-	h := newHintTable(8) // generation flips at 4 entries
-	for i := 0; i < 4; i++ {
-		h.put(fmt.Sprintf("k%d", i), "r01")
-	}
-	// Touch k0 so it survives the flip by promotion.
-	h.put("k4", "r02") // flips: k0..k3 move to the old generation
-	if v, ok := h.get("k0"); !ok || v != "r01" {
-		t.Fatalf("k0 lost after one flip: %v %v", v, ok)
-	}
-	// k0 was promoted into the young generation; a second flip drops the
-	// rest of the old cohort but keeps promoted entries one round longer.
-	for i := 5; i < 9; i++ {
-		h.put(fmt.Sprintf("k%d", i), "r02")
-	}
-	if _, ok := h.get("k0"); !ok {
-		t.Fatal("promoted hint did not survive the next flip")
-	}
-
-	h.forget("r02")
-	if _, ok := h.get("k4"); ok {
-		t.Fatal("forget left a hint pointing at the dropped replica")
-	}
-	if _, ok := h.get("k0"); !ok {
-		t.Fatal("forget removed hints of other replicas")
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 //
 // Requests about existing resources (jobs, sweeps, files) route in O(1) by
 // the replica prefix of their IDs; resource creation is placed by
-// rendezvous+round-robin with memo hints; collection reads scatter-gather.
+// power-of-two-choices with memo-index reuse; collection reads
+// scatter-gather.
 func (g *Gateway) APIHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		head, tail := rest.ShiftPath(r.URL.Path)
@@ -167,22 +168,16 @@ func (g *Gateway) handleServices(w http.ResponseWriter, r *http.Request, path st
 }
 
 // handleSubmit places one job submission: the body is buffered (it is a
-// bounded JSON document by API contract), parsed for memo-hint computation,
-// and forwarded byte-identical to the placed replica.
+// bounded JSON document by API contract) and forwarded byte-identical to the
+// placed replica.  A deterministic submission the replica accepts is claimed
+// in the memo index, so an identical resubmission follows it there.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service string) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rest.MaxBodyBytes))
 	if err != nil {
 		rest.WriteError(w, core.ErrBadRequest("read request body: %v", err))
 		return
 	}
-	// A body that does not parse as a value map still forwards — the
-	// replica owns input validation and its 400 passes through unchanged —
-	// it just cannot produce a memo hint.
-	var inputs core.Values
-	if len(raw) > 0 {
-		_ = json.Unmarshal(raw, &inputs)
-	}
-	rs, key, hinted, err := g.routeSubmit(service, inputs)
+	rs, key, err := g.routeSubmit(service, raw)
 	if err != nil {
 		// Admission control: every candidate advertises a full queue, so a
 		// proxy hop would only buy a replica-side rejection.
@@ -194,8 +189,8 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, service s
 		return
 	}
 	status, ok := g.forward(w, r, rs, "service", raw)
-	if ok && status == http.StatusCreated && key != "" && !hinted {
-		g.hints.put(key, rs.name)
+	if ok && status == http.StatusCreated && key != "" {
+		g.memo.claim(rs.name, key)
 	}
 }
 
